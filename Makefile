@@ -53,7 +53,7 @@ analyze:
 # Overload/deadline drill: the admission-control, cancellation, and drain
 # tests under the race detector — the serving runtime's survival story.
 loadcheck:
-	$(GO) test -race -run 'Overload|Shed|Expired|Abandoned|Drain|QueueFull|RateWindow|Timeout|QuantileEdges|Prom' \
+	$(GO) test -race -run 'Overload|Shed|Expired|Abandoned|Drain|QueueFull|RateWindow|Timeout|QuantileEdges|Histogram|Prom' \
 		./internal/serve/... ./internal/metrics/...
 
 # Tracing drill: the tracer package and every instrumented layer under the

@@ -11,7 +11,8 @@
 //	POST /v1/predict  {"model":"mlp","features":[[...64 floats...]],
 //	                   "options":{"top_k":3,"version":1,"no_perturb":false},
 //	                   "timeout_ms":250}
-//	GET  /v1/stats    p50/p99 latency, windowed throughput, shed/expired
+//	GET  /v1/stats    p50/p90/p99 latency (from the lifetime /metrics
+//	                  buckets), windowed throughput, shed/expired
 //	GET  /v1/models   registry listing (kind, versions, compression ratio,
 //	                  training provenance)
 //	GET  /v1/trace/recent  retained trace summaries (tail-based retention)

@@ -50,7 +50,7 @@
 //
 // Runtime wires the three together for one model and Server exposes any
 // number of runtimes over HTTP/JSON (POST /v1/predict, GET /v1/stats with
-// p50/p99 latency, throughput and batch occupancy via internal/metrics,
+// p50/p90/p99 latency, throughput and batch occupancy via internal/metrics,
 // GET /v1/models). cmd/mobiledlserve is the standalone server binary;
 // examples/serving is the in-process quickstart serving all three backend
 // kinds; BenchmarkServeThroughput in bench_test.go measures requests/sec at

@@ -3,111 +3,54 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"sync/atomic"
 )
 
 // DefaultLatencyBuckets are the cumulative histogram bounds (milliseconds)
-// a LatencyRecorder tracks for Prometheus exposition: sub-millisecond
-// resolution where batched serving lives, coarsening toward the second mark.
-var DefaultLatencyBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
+// every Histogram tracks: sub-millisecond resolution where batched serving
+// lives, coarsening toward the second mark.
+var DefaultLatencyBuckets = [...]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
 
-// LatencyRecorder accumulates latency observations for a serving runtime.
-// Quantiles are computed over a sliding window of the most recent samples
-// (a fixed-capacity ring, so memory is bounded under sustained load), while
-// count, mean, max, and the histogram buckets cover the recorder's whole
-// lifetime — Prometheus histograms must be monotonic, so they cannot ride
-// the sliding window. All methods are safe for concurrent use.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []float64 // ring buffer of recent observations
-	next    int       // ring write cursor
-	count   uint64
-	sum     float64
-	max     float64
-	bounds  []float64 // ascending histogram upper bounds
-	buckets []uint64  // per-bucket (non-cumulative) lifetime counts
+// Histogram accumulates latency observations into DefaultLatencyBuckets
+// without a lock: one atomic counter per bound plus an overflow slot, with
+// the sum and max kept as float64 bits updated by CAS. Everything covers the
+// histogram's whole lifetime (Prometheus histograms must be monotonic), and
+// the same buckets feed both the /metrics exposition (Snapshot) and the
+// stats digest (Summary), so the two can never disagree. The zero value is
+// ready to use; all methods are safe for concurrent use.
+type Histogram struct {
+	slots   [len(DefaultLatencyBuckets) + 1]atomic.Uint64 // per bound, then overflow
+	sumBits atomic.Uint64
+	maxBits atomic.Uint64
 }
 
-// NewLatencyRecorder builds a recorder whose quantile window holds capacity
-// samples (minimum 1), with DefaultLatencyBuckets histogram bounds.
-func NewLatencyRecorder(capacity int) *LatencyRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &LatencyRecorder{
-		samples: make([]float64, 0, capacity),
-		bounds:  DefaultLatencyBuckets,
-		buckets: make([]uint64, len(DefaultLatencyBuckets)),
-	}
-}
-
-// Record adds one observation (any unit; callers in this repo use
+// Observe adds one observation (any unit; callers in this repo use
 // milliseconds). NaN and negative values are dropped.
-func (r *LatencyRecorder) Record(v float64) {
+func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || v < 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.count++
-	r.sum += v
-	if v > r.max {
-		r.max = v
+	i := 0
+	for i < len(DefaultLatencyBuckets) && v > DefaultLatencyBuckets[i] {
+		i++
 	}
-	for i, bound := range r.bounds {
-		if v <= bound {
-			r.buckets[i]++
+	h.slots[i].Add(1)
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			break
 		}
 	}
-	if len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, v)
-		return
+	for {
+		old := h.maxBits.Load()
+		if v <= math.Float64frombits(old) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
 	}
-	r.samples[r.next] = v
-	r.next = (r.next + 1) % cap(r.samples)
 }
 
-// Count returns the lifetime number of recorded observations.
-func (r *LatencyRecorder) Count() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) over the sliding window,
-// with linear interpolation between adjacent order statistics. It returns an
-// error when no samples have been recorded or q is out of range.
-func (r *LatencyRecorder) Quantile(q float64) (float64, error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("%w: quantile %v", ErrInput, q)
-	}
-	r.mu.Lock()
-	window := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	if len(window) == 0 {
-		return 0, fmt.Errorf("%w: no samples recorded", ErrInput)
-	}
-	sort.Float64s(window)
-	return quantileOf(window, q), nil
-}
-
-// quantileOf interpolates the q-th quantile of an already-sorted, non-empty
-// sample.
-func quantileOf(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// HistogramSnapshot is the cumulative-bucket digest of a LatencyRecorder,
-// shaped for Prometheus exposition: Counts[i] is the lifetime number of
+// HistogramSnapshot is the cumulative-bucket digest of a Histogram, shaped
+// for Prometheus exposition: Counts[i] is the lifetime number of
 // observations <= Bounds[i], and Count/Sum close the +Inf bucket.
 type HistogramSnapshot struct {
 	Bounds []float64
@@ -116,26 +59,43 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Histogram snapshots the lifetime cumulative buckets.
-func (r *LatencyRecorder) Histogram() HistogramSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := HistogramSnapshot{
-		Bounds: r.bounds,
-		Counts: make([]uint64, len(r.buckets)),
-		Count:  r.count,
-		Sum:    r.sum,
+// Snapshot reads the lifetime cumulative buckets. Count is the sum of every
+// slot read, so the +Inf bucket never under-counts the finite ones even
+// while observations land concurrently.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{
+		Bounds: DefaultLatencyBuckets[:],
+		Counts: make([]uint64, len(DefaultLatencyBuckets)),
+		Sum:    math.Float64frombits(h.sumBits.Load()),
 	}
-	var cum uint64
-	for i, n := range r.buckets {
-		cum += n
-		h.Counts[i] = cum
+	for i := range h.slots {
+		s.Count += h.slots[i].Load()
+		if i < len(s.Counts) {
+			s.Counts[i] = s.Count
+		}
 	}
-	return h
+	return s
 }
 
-// LatencySummary is a point-in-time digest of a LatencyRecorder, shaped for
-// a stats endpoint.
+// Quantile estimates the q-th quantile (0 <= q <= 1) from the snapshot's
+// buckets with BucketQuantile — the estimate Scrape.HistogramQuantile makes
+// from the same series once exported. It errors on an empty snapshot or an
+// out-of-range q.
+func (s HistogramSnapshot) Quantile(q float64) (float64, error) {
+	if len(s.Counts) != len(s.Bounds) {
+		return 0, fmt.Errorf("%w: %d bounds, %d counts", ErrInput, len(s.Bounds), len(s.Counts))
+	}
+	bounds := append(s.Bounds[:len(s.Bounds):len(s.Bounds)], math.Inf(1))
+	counts := make([]float64, len(bounds))
+	for i, c := range s.Counts {
+		counts[i] = float64(c)
+	}
+	counts[len(s.Counts)] = float64(s.Count)
+	return BucketQuantile(q, bounds, counts)
+}
+
+// LatencySummary is a point-in-time digest of a Histogram, shaped for a
+// stats endpoint.
 type LatencySummary struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -145,21 +105,21 @@ type LatencySummary struct {
 	Max   float64 `json:"max"`
 }
 
-// Snapshot digests the recorder. An empty recorder yields a zero summary.
-func (r *LatencyRecorder) Snapshot() LatencySummary {
-	r.mu.Lock()
-	s := LatencySummary{Count: r.count, Max: r.max}
-	if r.count > 0 {
-		s.Mean = r.sum / float64(r.count)
+// Summary digests the histogram. Count, mean and max are exact over the
+// lifetime; p50/p90/p99 are bucket estimates (Snapshot().Quantile). An
+// empty histogram yields a zero summary.
+func (h *Histogram) Summary() LatencySummary {
+	snap := h.Snapshot()
+	if snap.Count == 0 {
+		return LatencySummary{}
 	}
-	window := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	if len(window) == 0 {
-		return s
+	s := LatencySummary{
+		Count: snap.Count,
+		Mean:  snap.Sum / float64(snap.Count),
+		Max:   math.Float64frombits(h.maxBits.Load()),
 	}
-	sort.Float64s(window)
-	s.P50 = quantileOf(window, 0.50)
-	s.P90 = quantileOf(window, 0.90)
-	s.P99 = quantileOf(window, 0.99)
+	s.P50, _ = snap.Quantile(0.50)
+	s.P90, _ = snap.Quantile(0.90)
+	s.P99, _ = snap.Quantile(0.99)
 	return s
 }

@@ -8,109 +8,71 @@ import (
 )
 
 func TestLatencyRecorderQuantiles(t *testing.T) {
-	r := NewLatencyRecorder(1000)
+	var h Histogram
 	for i := 1; i <= 100; i++ {
-		r.Record(float64(i))
+		h.Observe(float64(i))
 	}
-	if r.Count() != 100 {
-		t.Fatalf("count %d, want 100", r.Count())
+	s := h.Summary()
+	if s.Count != 100 || s.Max != 100 || math.Abs(s.Mean-50.5) > 1e-9 {
+		t.Fatalf("summary %+v", s)
 	}
-	p50, err := r.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
+	// 1..100 fills (25,50] and (50,100] uniformly, so interpolating inside
+	// the landing bucket recovers the exact order statistics.
+	for _, c := range []struct{ got, want float64 }{{s.P50, 50}, {s.P90, 90}, {s.P99, 99}} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Fatalf("quantile = %v, want %v (summary %+v)", c.got, c.want, s)
+		}
 	}
-	if math.Abs(p50-50.5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 50.5", p50)
-	}
-	s := r.Snapshot()
-	if s.Max != 100 || math.Abs(s.Mean-50.5) > 1e-9 {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if s.P99 < s.P90 || s.P90 < s.P50 {
-		t.Fatalf("quantiles out of order: %+v", s)
-	}
-	if _, err := r.Quantile(1.5); !errors.Is(err, ErrInput) {
+	if _, err := h.Snapshot().Quantile(1.5); !errors.Is(err, ErrInput) {
 		t.Fatalf("out-of-range quantile: %v", err)
 	}
 }
 
 func TestLatencyRecorderEmptyAndInvalid(t *testing.T) {
-	r := NewLatencyRecorder(8)
-	if _, err := r.Quantile(0.5); !errors.Is(err, ErrInput) {
+	var h Histogram
+	if _, err := h.Snapshot().Quantile(0.5); !errors.Is(err, ErrInput) {
 		t.Fatalf("empty quantile: %v", err)
 	}
-	if s := r.Snapshot(); s.Count != 0 || s.P99 != 0 {
-		t.Fatalf("empty snapshot %+v", s)
+	if s := h.Summary(); s != (LatencySummary{}) {
+		t.Fatalf("empty summary %+v", s)
 	}
-	r.Record(-1)
-	r.Record(math.NaN())
-	if r.Count() != 0 {
-		t.Fatal("invalid samples must be dropped")
-	}
-}
-
-func TestLatencyRecorderSlidingWindow(t *testing.T) {
-	r := NewLatencyRecorder(4)
-	for i := 0; i < 100; i++ {
-		r.Record(1000) // old regime
-	}
-	for i := 0; i < 4; i++ {
-		r.Record(1) // new regime fills the window
-	}
-	p99, err := r.Quantile(0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p99 != 1 {
-		t.Fatalf("window quantile should forget old samples, p99 = %v", p99)
-	}
-	// Lifetime stats still remember everything.
-	if s := r.Snapshot(); s.Count != 104 || s.Max != 1000 {
-		t.Fatalf("lifetime stats %+v", s)
+	h.Observe(-1)
+	h.Observe(math.NaN())
+	if s := h.Summary(); s != (LatencySummary{}) || h.Snapshot().Sum != 0 {
+		t.Fatalf("invalid samples must be dropped: %+v", s)
 	}
 }
 
-// TestLatencyRecorderQuantileEdges pins the boundary cases: a window of
-// one sample answers every quantile with that sample, and q=0 / q=1 are the
-// window minimum and maximum exactly (no interpolation off the ends).
+// TestLatencyRecorderQuantileEdges pins the boundary cases: q=0 and q=1
+// bracket the observed range at bucket resolution (the lower edge of the
+// minimum's bucket, the upper edge of the maximum's), and q outside [0, 1]
+// or NaN is an input error.
 func TestLatencyRecorderQuantileEdges(t *testing.T) {
-	one := NewLatencyRecorder(1)
-	one.Record(7)
-	one.Record(42) // window of 1: only the latest sample remains
-	for _, q := range []float64{0, 0.5, 1} {
-		got, err := one.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 42 {
-			t.Fatalf("Quantile(%v) on a window of 1 = %v, want 42", q, got)
-		}
-	}
-
-	r := NewLatencyRecorder(16)
+	var h Histogram
 	for _, v := range []float64{9, 3, 12, 1, 6} {
-		r.Record(v)
+		h.Observe(v)
 	}
-	if got, err := r.Quantile(0); err != nil || got != 1 {
-		t.Fatalf("Quantile(0) = %v, %v; want the window minimum 1", got, err)
+	snap := h.Snapshot()
+	if got, err := snap.Quantile(0); err != nil || got != 0.5 {
+		t.Fatalf("Quantile(0) = %v, %v; want 0.5, the lower edge of the (0.5, 1] bucket holding the minimum", got, err)
 	}
-	if got, err := r.Quantile(1); err != nil || got != 12 {
-		t.Fatalf("Quantile(1) = %v, %v; want the window maximum 12", got, err)
+	if got, err := snap.Quantile(1); err != nil || got != 25 {
+		t.Fatalf("Quantile(1) = %v, %v; want 25, the upper edge of the (10, 25] bucket holding the maximum", got, err)
 	}
-	if _, err := r.Quantile(math.NaN()); !errors.Is(err, ErrInput) {
+	if _, err := snap.Quantile(math.NaN()); !errors.Is(err, ErrInput) {
 		t.Fatalf("NaN quantile: %v, want ErrInput", err)
 	}
-	if _, err := r.Quantile(-0.1); !errors.Is(err, ErrInput) {
+	if _, err := snap.Quantile(-0.1); !errors.Is(err, ErrInput) {
 		t.Fatalf("negative quantile: %v, want ErrInput", err)
 	}
 }
 
 func TestLatencyRecorderHistogram(t *testing.T) {
-	r := NewLatencyRecorder(4)
+	var r Histogram
 	for _, v := range []float64{0.01, 0.3, 30, 5000} {
-		r.Record(v)
+		r.Observe(v)
 	}
-	h := r.Histogram()
+	h := r.Snapshot()
 	if h.Count != 4 || math.Abs(h.Sum-5030.31) > 1e-9 {
 		t.Fatalf("histogram count=%d sum=%v", h.Count, h.Sum)
 	}
@@ -129,25 +91,50 @@ func TestLatencyRecorderHistogram(t *testing.T) {
 	if last := h.Counts[len(h.Counts)-1]; last != 3 {
 		t.Fatalf("last bound holds %d, want 3 (one sample beyond every bound)", last)
 	}
+	if s := r.Summary(); s.Max != 5000 || s.P99 != 1000 {
+		t.Fatalf("summary %+v: want exact max 5000, p99 saturated at the last bound", s)
+	}
 }
 
-func TestLatencyRecorderConcurrent(t *testing.T) {
-	r := NewLatencyRecorder(64)
+// TestHistogramConcurrent races Observe against Snapshot/Summary: no
+// observation may be lost, the float sum must be exact, and every snapshot
+// taken mid-flight must be internally consistent.
+func TestHistogramConcurrent(t *testing.T) {
+	const goroutines, perG = 8, 500
+	var h Histogram
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Record(float64(g*500 + i))
-				if i%100 == 0 {
-					r.Snapshot()
+			for i := 0; i < perG; i++ {
+				h.Observe(float64(g*perG + i))
+				if i%50 != 0 {
+					continue
+				}
+				h.Summary()
+				snap := h.Snapshot()
+				var prev uint64
+				for j, c := range snap.Counts {
+					if c < prev || c > snap.Count {
+						t.Errorf("snapshot bucket %d = %d after %d, Count %d", j, c, prev, snap.Count)
+						return
+					}
+					prev = c
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if r.Count() != 4000 {
-		t.Fatalf("count %d, want 4000", r.Count())
+	const n = goroutines * perG
+	s := h.Summary()
+	if s.Count != n {
+		t.Fatalf("count %d, want %d", s.Count, n)
+	}
+	if want := float64(n*(n-1)) / 2; h.Snapshot().Sum != want {
+		t.Fatalf("sum %v, want %v", h.Snapshot().Sum, want)
+	}
+	if s.Max != n-1 {
+		t.Fatalf("max %v, want %d", s.Max, n-1)
 	}
 }

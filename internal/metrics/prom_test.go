@@ -34,13 +34,13 @@ demo_inflight{model="b"} 0
 }
 
 func TestPromWriterHistogram(t *testing.T) {
-	r := NewLatencyRecorder(8)
+	var r Histogram
 	for _, v := range []float64{0.04, 0.2, 0.2, 3, 2000} {
-		r.Record(v)
+		r.Observe(v)
 	}
 	var buf bytes.Buffer
 	w := NewPromWriter(&buf)
-	w.Histogram("demo_latency_ms", "Latency.", r.Histogram(), Label{Name: "model", Value: "a"})
+	w.Histogram("demo_latency_ms", "Latency.", r.Snapshot(), Label{Name: "model", Value: "a"})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

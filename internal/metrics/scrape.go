@@ -253,18 +253,20 @@ func (s *Scrape) HistogramBuckets(name string, labels ...Label) (bounds []float6
 // the highest finite bound when the quantile lands in the +Inf bucket.
 // Errors when the histogram is missing or empty.
 func (s *Scrape) HistogramQuantile(name string, q float64, labels ...Label) (float64, error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("%w: quantile %v", ErrInput, q)
-	}
 	bounds, counts := s.HistogramBuckets(name, labels...)
 	return BucketQuantile(q, bounds, counts)
 }
 
-// BucketQuantile computes a quantile from cumulative histogram buckets
-// (ascending bounds, the last of which may be +Inf). It is also the delta
-// path for windowed SLO math: subtract two scrapes' cumulative counts and
-// pass the difference.
+// BucketQuantile computes the q-th quantile (0 <= q <= 1) from cumulative
+// histogram buckets (ascending bounds, the last of which may be +Inf). q=0
+// answers the lower edge of the first non-empty bucket and q=1 the upper
+// edge of the bucket holding the maximum, so the two bracket the observed
+// range. It is also the delta path for windowed SLO math: subtract two
+// scrapes' cumulative counts and pass the difference.
 func BucketQuantile(q float64, bounds, counts []float64) (float64, error) {
+	if q < 0 || q > 1 || math.IsNaN(q) {
+		return 0, fmt.Errorf("%w: quantile %v", ErrInput, q)
+	}
 	if len(bounds) == 0 || len(bounds) != len(counts) {
 		return 0, fmt.Errorf("%w: %d bounds, %d counts", ErrInput, len(bounds), len(counts))
 	}
@@ -274,7 +276,7 @@ func BucketQuantile(q float64, bounds, counts []float64) (float64, error) {
 	}
 	rank := q * total
 	for i, c := range counts {
-		if c < rank {
+		if c < rank || c == 0 {
 			continue
 		}
 		hi := bounds[i]

@@ -62,11 +62,11 @@ func TestParsePromReadsPromWriterOutput(t *testing.T) {
 	pw := NewPromWriter(&buf)
 	pw.Counter("c_total", "help", 7, Label{Name: "weird", Value: "a\"b\\c\nd"})
 	pw.Gauge("g", "help", 2.5)
-	rec := NewLatencyRecorder(16)
+	var rec Histogram
 	for _, v := range []float64{0.2, 0.7, 3, 40, 900} {
-		rec.Record(v)
+		rec.Observe(v)
 	}
-	pw.Histogram("lat_ms", "help", rec.Histogram())
+	pw.Histogram("lat_ms", "help", rec.Snapshot())
 	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,9 @@
 // A Runtime wires registry, batcher, and executor together for one
 // registered model; Server exposes any number of runtimes over HTTP/JSON
 // (POST /v1/predict, GET /v1/stats, GET /v1/models, GET /metrics) with
-// p50/p99 latency, sliding-window throughput, shed/expired/error counts,
-// and Prometheus exposition backed by internal/metrics.
+// p50/p90/p99 latency estimated from the lifetime /metrics histogram
+// buckets, sliding-window throughput, shed/expired/error counts, and
+// Prometheus exposition backed by internal/metrics.
 package serve
 
 import (

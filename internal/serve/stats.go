@@ -8,9 +8,6 @@ import (
 	"mobiledl/internal/metrics"
 )
 
-// statsWindow is the sliding-window size for quantile estimation.
-const statsWindow = 4096
-
 // rateWindowSecs is the sliding window (seconds) over which ThroughputRPS
 // is computed, so the reported rate tracks current traffic instead of
 // decaying toward zero after any idle period the way a lifetime average
@@ -64,8 +61,8 @@ func (rw *rateWindow) rate(now time.Time, uptimeSeconds float64) float64 {
 	return float64(total) / span
 }
 
-// collector aggregates runtime counters. Counters are atomics and the
-// latency recorders lock internally, so the hot path never shares a mutex.
+// collector aggregates runtime counters. Counters and latency histograms
+// are atomics; only the per-placement row counts take a lock.
 type collector struct {
 	start time.Time
 
@@ -89,18 +86,15 @@ type collector struct {
 	placeMu     sync.Mutex
 	byPlacement map[string]uint64
 
-	latency *metrics.LatencyRecorder // end-to-end, recorded by the runtime
-	queue   *metrics.LatencyRecorder // time waiting for a batch to form
-	exec    *metrics.LatencyRecorder // compute inside the executor
+	latency metrics.Histogram // end-to-end, recorded by the runtime
+	queue   metrics.Histogram // time waiting for a batch to form
+	exec    metrics.Histogram // compute of each row's batch, once per row
 }
 
 func newCollector() *collector {
 	return &collector{
 		start:       time.Now(),
 		byPlacement: make(map[string]uint64),
-		latency:     metrics.NewLatencyRecorder(statsWindow),
-		queue:       metrics.NewLatencyRecorder(statsWindow),
-		exec:        metrics.NewLatencyRecorder(statsWindow),
 	}
 }
 
@@ -110,8 +104,8 @@ func (c *collector) recordBatch(size int) {
 }
 
 func (c *collector) recordResult(r Result) {
-	c.queue.Record(r.QueueMs)
-	c.exec.Record(r.ExecMs)
+	c.queue.Observe(r.QueueMs)
+	c.exec.Observe(r.ExecMs)
 	c.rows.Add(1)
 	// Local and offload are independent facts: a row answered by the early
 	// exit never pays traffic, but a row can also stay on-device without an
@@ -130,7 +124,7 @@ func (c *collector) recordResult(r Result) {
 func (c *collector) recordRequest(totalMs float64) {
 	c.requests.Add(1)
 	c.rate.record(time.Now())
-	c.latency.Record(totalMs)
+	c.latency.Observe(totalMs)
 }
 
 // Stats is the JSON shape of the /v1/stats endpoint for one runtime.
@@ -156,12 +150,17 @@ type Stats struct {
 	Inflight   int64 `json:"inflight"`
 	QueueDepth int   `json:"queue_depth"`
 
+	// The latency digests cover the runtime's lifetime: count, mean and max
+	// are exact, and p50/p90/p99 are estimated from the same buckets the
+	// /metrics histograms export.
+	//
 	// LatencyMs is end-to-end request latency (queue + exec + sim network).
 	LatencyMs metrics.LatencySummary `json:"latency_ms"`
 	// QueueMs is time spent waiting for a batch to fill or its budget to
 	// expire.
 	QueueMs metrics.LatencySummary `json:"queue_ms"`
-	// ExecMs is compute time per batch.
+	// ExecMs is the compute time of the batch each row ran in, observed once
+	// per row: a batch of n rows contributes n samples.
 	ExecMs metrics.LatencySummary `json:"exec_ms"`
 
 	Batches uint64 `json:"batches"`
@@ -191,9 +190,9 @@ func (c *collector) snapshot(maxBatch int, inflight int64, queueDepth int) Stats
 		Errors:        c.errors.Load(),
 		Inflight:      inflight,
 		QueueDepth:    queueDepth,
-		LatencyMs:     c.latency.Snapshot(),
-		QueueMs:       c.queue.Snapshot(),
-		ExecMs:        c.exec.Snapshot(),
+		LatencyMs:     c.latency.Summary(),
+		QueueMs:       c.queue.Summary(),
+		ExecMs:        c.exec.Summary(),
 		Batches:       c.batches.Load(),
 		MaxBatch:      maxBatch,
 		LocalExits:    c.localExits.Load(),
@@ -232,8 +231,8 @@ func (c *collector) writeProm(w *metrics.PromWriter, model string, maxBatch int,
 	w.Gauge("mobiledl_queue_depth", "Requests waiting in the admission queue.", float64(s.QueueDepth), ml)
 	w.Gauge("mobiledl_batch_occupancy_rows", "Mean coalesced batch size.", s.BatchOccupancy, ml)
 	w.Gauge("mobiledl_throughput_rps", "Requests/sec over the sliding rate window.", s.ThroughputRPS, ml)
-	w.Histogram("mobiledl_request_latency_ms", "End-to-end request latency (ms).", c.latency.Histogram(), ml)
-	w.Histogram("mobiledl_queue_latency_ms", "Time waiting for a batch to form (ms).", c.queue.Histogram(), ml)
-	w.Histogram("mobiledl_exec_latency_ms", "Backend compute time per batch (ms).", c.exec.Histogram(), ml)
+	w.Histogram("mobiledl_request_latency_ms", "End-to-end request latency (ms).", c.latency.Snapshot(), ml)
+	w.Histogram("mobiledl_queue_latency_ms", "Time waiting for a batch to form (ms).", c.queue.Snapshot(), ml)
+	w.Histogram("mobiledl_exec_latency_ms", "Backend compute time of each row's batch, observed once per row (ms).", c.exec.Snapshot(), ml)
 	w.WriteSortedLabels("mobiledl_placement_rows_total", "Rows answered, by execution placement.", "counter", "placement", s.Placements, ml)
 }
